@@ -74,7 +74,7 @@ import numpy as np
 from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.network import SensorNetwork
-from repro.hierarchy.structure import BaseHierarchy, build_hierarchy
+from repro.hierarchy.structure import BaseHierarchy, Hierarchy, build_hierarchy
 
 Node = Hashable
 
@@ -93,7 +93,7 @@ __all__ = [
 class _Tables:
     """Immutable columnar tables derived from one hierarchy + config."""
 
-    def __init__(self, hs: BaseHierarchy, config: MOTConfig) -> None:
+    def __init__(self, hs: Hierarchy, config: MOTConfig) -> None:
         net = hs.net
         n = net.n
         h = hs.h
@@ -109,11 +109,11 @@ class _Tables:
         dparr: list[np.ndarray] = []
         hop_full: list[np.ndarray] = []
         for ell in range(h):
-            members = hs.level_nodes(ell)  # type: ignore[attr-defined]
+            members = hs.level_nodes(ell)
             dp = np.full(n, -1, dtype=np.int64)
             pairs = []
             for w in members:
-                parent = hs.default_parent(ell, w)  # type: ignore[attr-defined]
+                parent = hs.default_parent(ell, w)
                 dp[index_of(w)] = index_of(parent)
                 pairs.append((w, parent))
             hops = net.pair_distances(pairs)
@@ -153,7 +153,7 @@ class _Tables:
         if count_sdl:
             sdl_cost = np.zeros((n, h + 1), dtype=np.float64)
             for ell in range(1, h):
-                members = hs.level_nodes(ell)  # type: ignore[attr-defined]
+                members = hs.level_nodes(ell)
                 pairs = [(w, node_at(int(lift[ell, index_of(w)]))) for w in members]
                 costs = net.pair_distances(pairs)
                 for k, w in enumerate(members):
@@ -185,12 +185,12 @@ class _Tables:
 #: hierarchy → {(use_special, count_sdl): tables}; weak so a dropped
 #: hierarchy releases its tables with it (shards share one hierarchy,
 #: so a 4-shard batch service builds the tables exactly once)
-_TABLE_CACHE: "weakref.WeakKeyDictionary[BaseHierarchy, dict]" = (
+_TABLE_CACHE: "weakref.WeakKeyDictionary[Hierarchy, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _tables_for(hs: BaseHierarchy, config: MOTConfig) -> _Tables:
+def _tables_for(hs: Hierarchy, config: MOTConfig) -> _Tables:
     per_hs = _TABLE_CACHE.setdefault(hs, {})
     key = (config.use_special_parents, config.count_special_parent_cost)
     tables = per_hs.get(key)
@@ -243,13 +243,20 @@ class BatchQueryRecord(NamedTuple):
 class BatchMOTEngine:
     """Vectorized Algorithm 1 over columnar state (module docstring).
 
-    Requires ``use_parent_sets=False`` — the single-chain structure the
-    paper's experiments run and the serve layer deploys. The parent-set
-    variant keeps multi-node levels and per-rank SDL placement; it stays
-    on the scalar tracker.
+    Requires a :class:`~repro.hierarchy.structure.Hierarchy` with
+    ``use_parent_sets=False`` — the single-chain structure the paper's
+    experiments run and the serve layer deploys. The parent-set variant
+    keeps multi-node levels and per-rank SDL placement, and the §6
+    :class:`~repro.hierarchy.general.GeneralHierarchy` has no per-level
+    member lists to tabulate; both stay on the scalar tracker.
     """
 
     def __init__(self, hierarchy: BaseHierarchy, config: MOTConfig | None = None) -> None:
+        if not isinstance(hierarchy, Hierarchy):
+            raise ValueError(
+                "BatchMOTEngine requires a Hierarchy (single default-parent "
+                f"chains), not {type(hierarchy).__name__}"
+            )
         self.hs = hierarchy
         self.net = hierarchy.net
         self.config = config or MOTConfig()

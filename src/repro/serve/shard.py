@@ -9,11 +9,19 @@ spine/DL entries, a shard holding a subset of the objects answers
 queries bit-identically to a sequential tracker holding all of them —
 the property the consistency audit (:mod:`repro.serve.audit`) checks.
 
-The clock-free part of a shard — tracker, epoch map, op log, query
-log, batch application with query coalescing and move prefetch — lives
-in :class:`ShardCore`, which :mod:`repro.serve.worker` reuses verbatim
-on the far side of the process boundary: one apply path, two
-schedulers (an asyncio task here, a blocking frame loop there).
+The module has one apply path in two halves:
+
+- :class:`ShardCore` is the clock-free half — tracker, epoch map, op
+  log, query log — and :meth:`ShardCore.apply` is its only batch entry
+  point, scalar or columnar, with one result shape. The forked worker
+  (:mod:`repro.serve.worker`) runs the same core on the far side of the
+  process boundary.
+- :class:`QueuedShard` is the scheduling half every shard backend
+  shares — the admission queue, the SLI counters, the FIFO batch drain
+  and :meth:`QueuedShard._settle`, the one loop that turns results into
+  resolved futures. :class:`TrackerShard` feeds it from an in-process
+  core; :class:`~repro.serve.worker.ProcessShardHandle` feeds it from
+  the worker's reply frames.
 
 Per wakeup the shard:
 
@@ -24,7 +32,8 @@ Per wakeup the shard:
    per-object operation order is preserved);
 3. **prefetches** the batch's move endpoints through the oracle's
    batched ``pair_distances`` API — one multi-source Dijkstra warms the
-   row cache for every optimal-cost lookup the moves are about to do;
+   row cache for every optimal-cost lookup the moves are about to do
+   (scalar mode; the columnar engine batches its own lookups);
 4. applies the ops in order, **coalescing** duplicate queries: queries
    for the same ``(object, epoch, source)`` — same object and querying
    node, no intervening move — execute one spine walk and fan the
@@ -45,7 +54,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Hashable, Union
+from typing import Any, Hashable, Iterator, Union
 
 from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger
@@ -66,9 +75,9 @@ from repro.serve.snapshot import ShardSnapshot, capture_snapshot, restore_snapsh
 
 Node = Hashable
 
-__all__ = ["ShardCore", "TrackerShard", "QueryRecord", "shard_sli"]
+__all__ = ["QueuedShard", "ShardCore", "TrackerShard", "QueryRecord", "shard_sli"]
 
-#: queue sentinel that stops the worker after the queue fully drains
+#: queue sentinel that stops a shard's worker after its queue drains
 _STOP = object()
 
 
@@ -100,7 +109,8 @@ class ShardCore:
     epochs, the applied op log, and the answered-query log. Everything
     here is synchronous and scheduler-agnostic — the asyncio
     :class:`TrackerShard` and the process-boundary
-    :class:`~repro.serve.worker.ShardWorker` both drive it.
+    :class:`~repro.serve.worker.ShardWorker` both drive it through
+    :meth:`apply`.
     """
 
     def __init__(self, tracker: MOTTracker, batch: bool = False) -> None:
@@ -158,6 +168,34 @@ class ShardCore:
                         self.tracker.publish(obj, node)
                     else:
                         self.tracker.move(obj, node)
+
+    def apply(self, reqs: list[Request]) -> tuple[int, Iterator[tuple]]:
+        """Apply one drained batch: the only batch entry point.
+
+        Returns ``(prefetched, results)``: the move hop pairs warmed by
+        :meth:`prefetch_moves`, and one result per request in order,
+        ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)``.
+        Duplicate queries coalesce within the batch in both modes.
+
+        Scalar mode prefetches now and yields :meth:`apply_one` results
+        lazily: each op's tracker work runs when the caller pulls its
+        result, so it lands inside the caller's per-op span and before
+        its wall-clock completion stamp. Columnar mode runs
+        :meth:`apply_requests` once; the engine batches its own oracle
+        lookups, so nothing is prefetched.
+        """
+        if self.engine is not None:
+            return 0, iter(self.apply_requests(reqs))
+        return self.prefetch_moves(reqs), self._apply_each(reqs)
+
+    def _apply_each(self, reqs: list[Request]) -> Iterator[tuple]:
+        answered: dict[tuple[str, int, Node], tuple[Node, float]] = {}
+        for req in reqs:
+            try:
+                res: tuple = ("ok", *self.apply_one(req, answered))
+            except Exception as exc:  # noqa: BLE001 — failures belong to the caller
+                res = ("err", exc)
+            yield res
 
     def prefetch_moves(self, reqs: list[Request]) -> int:
         """Warm oracle rows for the batch's move endpoints in one solve.
@@ -232,12 +270,10 @@ class ShardCore:
     def apply_requests(self, reqs: list[Request]) -> list[tuple]:
         """Apply a whole batch through the columnar engine.
 
-        Returns one tuple per request, positionally aligned:
-        ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)`` —
-        the worker-protocol result shape, so both the in-process shard
-        and the process-boundary worker consume it unchanged. The
-        engine already coalesces duplicate queries per call, which is
-        exactly the per-drained-batch boundary ``apply_one`` uses.
+        Returns one tuple per request, positionally aligned, in
+        :meth:`apply`'s result shape. The engine already coalesces
+        duplicate queries per call, which is exactly the
+        per-drained-batch boundary ``apply_one`` uses.
         """
         engine = self.engine
         if engine is None:
@@ -306,22 +342,28 @@ def shard_sli(shard, makespan_s: float | None = None) -> dict:
     }
 
 
-class TrackerShard:
-    """One queue + one worker + one MOT instance (see module docstring)."""
+class QueuedShard:
+    """The admission queue and settle loop every shard backend shares.
+
+    Holds the bounded-queue gauge, the per-shard SLI counters (see
+    :func:`shard_sli`), ``submit``/``stop`` and the worker loop. The
+    loop drains admitted ops FIFO in batches of up to ``batch_size``;
+    any other queue item ends the batch and runs after it, in order —
+    the ``_STOP`` sentinel, or a subclass's control request
+    (:meth:`_converse`). A subclass applies each batch in
+    :meth:`_serve` and hands the results to :meth:`_settle`.
+    """
 
     def __init__(
         self,
         shard_id: int,
-        tracker: MOTTracker,
         clock: Union[VirtualClock, WallClock],
         metrics: ServiceMetrics,
         batch_size: int,
-        service_time_base_s: float,
-        service_time_per_cost_s: float,
-        batch: bool = False,
+        service_time_base_s: float = 0.0,
+        service_time_per_cost_s: float = 0.0,
     ) -> None:
         self.shard_id = shard_id
-        self.core = ShardCore(tracker, batch=batch)
         self.clock = clock
         self.metrics = metrics
         self.batch_size = batch_size
@@ -340,6 +382,173 @@ class TrackerShard:
 
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker: asyncio.Task | None = None
+
+    def start(self) -> None:
+        """Spawn the worker task (requires a running event loop)."""
+        if self._worker is None:
+            self._worker = asyncio.create_task(
+                self._run(), name=f"{type(self).__name__}-{self.shard_id}"
+            )
+
+    def submit(self, req: Request, arrival_t: float) -> asyncio.Future:
+        """Enqueue an admitted request; resolves to its :class:`OpResponse`.
+
+        Admission control is the service's job — by the time a request
+        reaches the shard it has already been accepted, so the queue
+        itself is unbounded and ``depth`` is the gauge the service
+        checks against ``queue_capacity``.
+        """
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self.depth += 1
+        self.submitted += 1
+        self._queue.put_nowait(_Admitted(req, arrival_t, fut))
+        return fut
+
+    async def stop(self) -> None:
+        """Drain the queue completely, then retire the worker."""
+        await self._retire()
+
+    async def _retire(self) -> bool:
+        """Drain, then stop the worker; False if no worker was running.
+
+        Claims the worker *before* awaiting it: two concurrent calls
+        must not both pass the ``is not None`` guard (each would
+        enqueue a ``_STOP`` sentinel, and the leftover one is never
+        ``task_done()``-ed, deadlocking any later ``join()``).
+        """
+        await self._queue.join()
+        worker = self._worker
+        if worker is None:
+            return False
+        self._worker = None
+        self._queue.put_nowait(_STOP)
+        await worker
+        return True
+
+    async def _run(self) -> None:
+        queue = self._queue
+        while True:
+            item = await queue.get()
+            if isinstance(item, _Admitted):
+                # Virtual mode: the shard may not service ops before the
+                # arrival clock reaches its busy horizon — while it waits
+                # here, the queue fills and admission control pushes back.
+                if self.clock.virtual and self.busy_until > self.clock.now:
+                    await self.clock.wait_until(self.busy_until)
+                batch = [item]
+                item = None
+                while len(batch) < self.batch_size:
+                    try:
+                        nxt = queue.get_nowait()
+                    except asyncio.QueueEmpty:
+                        break
+                    if not isinstance(nxt, _Admitted):
+                        item = nxt  # keep FIFO: it runs after this batch
+                        break
+                    batch.append(nxt)
+                await self._serve(batch)
+                for _ in batch:
+                    queue.task_done()
+                if item is None:
+                    continue
+            if item is _STOP:
+                queue.task_done()
+                return
+            await self._converse(item)
+            queue.task_done()
+
+    async def _serve(self, batch: list[_Admitted]) -> None:
+        """Apply ``batch`` and :meth:`_settle` its results."""
+        raise NotImplementedError
+
+    async def _converse(self, item: Any) -> None:
+        """Run one non-op queue item (none outside process handles)."""
+        raise TypeError(f"unexpected shard queue item {item!r}")
+
+    def _settle(
+        self, batch: list[_Admitted], prefetched: int, results: Iterator[tuple]
+    ) -> None:
+        """Resolve ``batch``'s futures from its :meth:`ShardCore.apply` results.
+
+        Pulls one result per op inside that op's ``serve.<kind>`` span,
+        so a lazy scalar apply runs each op's tracker work in its span.
+        Charging is the same in every mode: under a virtual clock an
+        executed op costs ``base + per_cost · cost`` on top of the busy
+        horizon, a failure ``base`` and a coalesced query nothing; under
+        a wall clock each completion is a real clock reading.
+        """
+        virtual = self.clock.virtual
+        start = max(self.busy_until, self.clock.now) if virtual else 0.0
+        elapsed = 0.0
+        for item in batch:
+            req = item.req
+            kind = kind_of(req)
+            sp = TRACER.span(
+                "serve." + kind, obj=str(req.obj), shard=self.shard_id, batch=len(batch)
+            )
+            with sp:
+                res = next(results)
+                if sp:
+                    if res[0] == "err":
+                        sp.annotate(failed=True, error=type(res[1]).__name__)
+                    else:
+                        sp.set_result(cost=res[2])
+                        sp.annotate(epoch=res[3], coalesced=res[4])
+            self.depth -= 1
+            if res[0] == "err":
+                if virtual:
+                    elapsed += self.service_time_base_s
+                self.metrics.record_failure()
+                if not item.future.done():
+                    item.future.set_exception(res[1])
+                continue
+            _tag, proxy, cost, epoch, coalesced = res
+            if virtual:
+                if not coalesced:
+                    elapsed += (
+                        self.service_time_base_s + self.service_time_per_cost_s * cost
+                    )
+                completion = start + elapsed
+            else:
+                completion = self.clock.now
+            resp = OpResponse(
+                kind=kind,
+                obj=req.obj,
+                proxy=proxy,
+                cost=cost,
+                epoch=epoch,
+                coalesced=coalesced,
+                arrival_t=item.arrival_t,
+                completion_t=completion,
+            )
+            self.completed_ops += 1
+            self.latency.add(resp.latency_s)
+            self.metrics.record_completion(kind, resp.latency_s, coalesced)
+            if not item.future.done():
+                item.future.set_result(resp)
+        if virtual:
+            self.busy_until = start + elapsed
+        self.metrics.record_batch(len(batch), prefetched)
+
+
+class TrackerShard(QueuedShard):
+    """One queue + one worker + one MOT instance (see module docstring)."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        tracker: MOTTracker,
+        clock: Union[VirtualClock, WallClock],
+        metrics: ServiceMetrics,
+        batch_size: int,
+        service_time_base_s: float,
+        service_time_per_cost_s: float,
+        batch: bool = False,
+    ) -> None:
+        super().__init__(
+            shard_id, clock, metrics, batch_size, service_time_base_s, service_time_per_cost_s
+        )
+        self.core = ShardCore(tracker, batch=batch)
 
     # ------------------------------------------------------------------
     # core state views (the audit and the service read these)
@@ -372,43 +581,6 @@ class TrackerShard:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the worker task (requires a running event loop)."""
-        if self._worker is None:
-            self._worker = asyncio.create_task(
-                self._run(), name=f"tracker-shard-{self.shard_id}"
-            )
-
-    def submit(self, req: Request, arrival_t: float) -> asyncio.Future:
-        """Enqueue an admitted request; resolves to its :class:`OpResponse`.
-
-        Admission control is the service's job — by the time a request
-        reaches the shard it has already been accepted, so the queue
-        itself is unbounded and ``depth`` is the gauge the service
-        checks against ``queue_capacity``.
-        """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self.depth += 1
-        self.submitted += 1
-        self._queue.put_nowait(_Admitted(req, arrival_t, fut))
-        return fut
-
-    async def stop(self) -> None:
-        """Drain the queue completely, then retire the worker.
-
-        Claims the worker *before* awaiting it: two concurrent ``stop()``
-        calls must not both pass the ``is not None`` guard (each would
-        enqueue a ``_STOP`` sentinel, and the leftover one is never
-        ``task_done()``-ed, deadlocking any later ``join()``).
-        """
-        await self._queue.join()
-        worker = self._worker
-        if worker is None:
-            return
-        self._worker = None
-        self._queue.put_nowait(_STOP)
-        await worker
-
     async def health(self) -> dict:
         """Liveness probe, uniform with the process-handle flavour."""
         worker = self._worker
@@ -428,168 +600,7 @@ class TrackerShard:
         """Rebuild state from ``snap``; the shard must still be empty."""
         restore_snapshot(self.core, snap)
 
-    # ------------------------------------------------------------------
-    # worker
-    # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                self._queue.task_done()
-                return
-            # Virtual mode: the shard may not service ops before the
-            # arrival clock reaches its busy horizon — while it waits
-            # here, the queue fills and admission control pushes back.
-            if self.clock.virtual and self.busy_until > self.clock.now:
-                await self.clock.wait_until(self.busy_until)
-            batch = [item]
-            stopping = False
-            while len(batch) < self.batch_size:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _STOP:
-                    self._queue.task_done()
-                    stopping = True
-                    break
-                batch.append(nxt)
-            self._apply_batch(batch)
-            for _ in batch:
-                self._queue.task_done()
-            if stopping:
-                return
-
-    # ------------------------------------------------------------------
-    # batch application (synchronous: no awaits between ops)
-    # ------------------------------------------------------------------
-    def _apply_batch(self, batch: list[_Admitted]) -> None:
-        if self.core.engine is not None:
-            self._apply_batch_columnar(batch)
-            return
-        virtual = self.clock.virtual
-        start = max(self.busy_until, self.clock.now) if virtual else self.clock.now
-        prefetched = self.core.prefetch_moves([item.req for item in batch])
-        answered: dict[tuple[str, int, Node], tuple[Node, float]] = {}
-        elapsed = 0.0
-        for item in batch:
-            kind = kind_of(item.req)
-            sp = TRACER.span(
-                "serve." + kind,
-                obj=str(item.req.obj),
-                shard=self.shard_id,
-                batch=len(batch),
-            )
-            with sp:
-                try:
-                    proxy, cost, epoch, coalesced = self.core.apply_one(
-                        item.req, answered
-                    )
-                except Exception as exc:  # noqa: BLE001 — failures belong to the caller
-                    if sp:
-                        sp.annotate(failed=True, error=type(exc).__name__)
-                    if virtual:
-                        elapsed += self.service_time_base_s
-                    self.depth -= 1
-                    self.metrics.record_failure()
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                    continue
-                if sp:
-                    sp.set_result(cost=cost)
-                    sp.annotate(epoch=epoch, coalesced=coalesced)
-            if virtual:
-                if not coalesced:
-                    elapsed += (
-                        self.service_time_base_s + self.service_time_per_cost_s * cost
-                    )
-                completion = start + elapsed
-            else:
-                completion = self.clock.now
-            resp = OpResponse(
-                kind=kind,
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=completion,
-            )
-            self.depth -= 1
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
-        if virtual:
-            self.busy_until = start + elapsed
-        self.metrics.record_batch(len(batch), prefetched)
-
-    def _apply_batch_columnar(self, batch: list[_Admitted]) -> None:
-        """Columnar flavour of :meth:`_apply_batch`.
-
-        The kernels run once for the whole batch up front
-        (:meth:`ShardCore.apply_requests`); the per-op loop here only
-        settles futures, spans and the virtual-clock charge — with
-        **identical** charging rules to the scalar path, so the two
-        modes produce the same deterministic completion times under a
-        virtual clock (the CI determinism check compares them run to
-        run). Move prefetch is skipped: the engine batches its
-        distance-oracle lookups internally.
-        """
-        virtual = self.clock.virtual
-        start = max(self.busy_until, self.clock.now) if virtual else self.clock.now
-        results = self.core.apply_requests([item.req for item in batch])
-        elapsed = 0.0
-        for item, res in zip(batch, results, strict=True):
-            kind = kind_of(item.req)
-            sp = TRACER.span(
-                "serve." + kind,
-                obj=str(item.req.obj),
-                shard=self.shard_id,
-                batch=len(batch),
-            )
-            with sp:
-                if res[0] == "err":
-                    exc = res[1]
-                    if sp:
-                        sp.annotate(failed=True, error=type(exc).__name__)
-                    if virtual:
-                        elapsed += self.service_time_base_s
-                    self.depth -= 1
-                    self.metrics.record_failure()
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                    continue
-                _tag, proxy, cost, epoch, coalesced = res
-                if sp:
-                    sp.set_result(cost=cost)
-                    sp.annotate(epoch=epoch, coalesced=coalesced)
-            if virtual:
-                if not coalesced:
-                    elapsed += (
-                        self.service_time_base_s + self.service_time_per_cost_s * cost
-                    )
-                completion = start + elapsed
-            else:
-                completion = self.clock.now
-            resp = OpResponse(
-                kind=kind,
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=completion,
-            )
-            self.depth -= 1
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
-        if virtual:
-            self.busy_until = start + elapsed
-        self.metrics.record_batch(len(batch), 0)
+    async def _serve(self, batch: list[_Admitted]) -> None:
+        # synchronous from here on: no awaits between ops of one batch
+        prefetched, results = self.core.apply([item.req for item in batch])
+        self._settle(batch, prefetched, results)

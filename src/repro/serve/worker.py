@@ -5,17 +5,20 @@ This module is both halves of one protocol:
 - :class:`ShardWorker` + :func:`worker_main` run **inside a forked
   worker process**: a blocking frame loop over the
   :class:`~repro.serve.transport.Channel`, dispatching each request
-  kind through the module-level :data:`_HANDLERS` table onto the same
-  :class:`~repro.serve.shard.ShardCore` apply path the in-process
-  shards use. The table is held to :data:`REQUEST_KINDS` by the RPL105
-  flow rule — a request kind without a handler is a static error, not
-  a runtime ``KeyError`` in a child process.
-- :class:`ProcessShardHandle` runs **in the service process**: it has
-  the same submit/stop/health surface as
-  :class:`~repro.serve.shard.TrackerShard`, so the service, audit, and
-  bench treat both uniformly. Internally it pumps its admission queue
-  over an :class:`~repro.serve.transport.AsyncChannel` in batches and
-  resolves futures from the reply frames.
+  kind through the module-level :data:`_HANDLERS` table. A batch frame
+  goes to :meth:`~repro.serve.shard.ShardCore.apply`, the same entry
+  point the in-process shards use, and its results travel back in that
+  method's result shape. The table is held to :data:`REQUEST_KINDS` by
+  the RPL105 flow rule — a request kind without a handler is a static
+  error, not a runtime ``KeyError`` in a child process.
+- :class:`ProcessShardHandle` runs **in the service process**. It is a
+  :class:`~repro.serve.shard.QueuedShard`, like
+  :class:`~repro.serve.shard.TrackerShard`: the same admission queue,
+  counters, FIFO batch drain and settle loop, so the service, audit,
+  and bench treat both uniformly. Its batches cross an
+  :class:`~repro.serve.transport.AsyncChannel` and the reply frame's
+  results are settled exactly as an in-process core's are; health,
+  snapshot and restore requests ride the same queue between batches.
 
 Workers are **forked**, not spawned: the hierarchy and the shared
 :class:`SensorNetwork` (including a PR-6 ``memmap`` distance backend
@@ -50,8 +53,8 @@ from repro.obs.trace import TRACER
 from repro.perf import TimerStat
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.protocol import OpResponse, Request, kind_of
-from repro.serve.shard import QueryRecord, ShardCore
+from repro.serve.protocol import Request
+from repro.serve.shard import QueryRecord, QueuedShard, ShardCore, _Admitted
 from repro.serve.snapshot import (
     ShardSnapshot,
     capture_snapshot,
@@ -70,10 +73,6 @@ Node = Hashable
 
 __all__ = ["ProcessShardHandle", "ShardWorker", "WorkerSpec", "worker_main"]
 
-#: queue sentinel that stops the pump after the queue fully drains
-_STOP = object()
-
-
 @dataclass(frozen=True)
 class WorkerSpec:
     """Everything a worker process needs to build its shard."""
@@ -83,15 +82,6 @@ class WorkerSpec:
     mot_config: MOTConfig
     #: run the columnar batch engine instead of per-op tracker calls
     batch: bool = False
-
-
-@dataclass
-class _Admitted:
-    """One queued operation: the request, its stamp, and its waiter."""
-
-    req: Request
-    arrival_t: float
-    future: asyncio.Future
 
 
 @dataclass
@@ -129,29 +119,11 @@ class ShardWorker:
     def handle_batch(self, reqs: list[Request]) -> tuple[str, Any]:
         """Apply one batch; per-op results, exceptions carried by value."""
         t0 = time.perf_counter()
-        if self.core.engine is not None:
-            # columnar path: the engine batches its own oracle lookups,
-            # so the move prefetch is skipped (same as TrackerShard)
-            prefetched = 0
-            results = self.core.apply_requests(reqs)
-            for res in results:
-                if res[0] == "err":
-                    self.failures += 1
-                else:
-                    self.ops_applied += 1
-        else:
-            prefetched = self.core.prefetch_moves(reqs)
-            answered: dict[tuple[str, int, Node], tuple[Node, float]] = {}
-            results = []
-            for req in reqs:
-                try:
-                    proxy, cost, epoch, coalesced = self.core.apply_one(req, answered)
-                except Exception as exc:  # noqa: BLE001 — failures belong to the caller
-                    self.failures += 1
-                    results.append(("err", exc))
-                else:
-                    self.ops_applied += 1
-                    results.append(("ok", proxy, cost, epoch, coalesced))
+        prefetched, it = self.core.apply(reqs)
+        results = list(it)
+        failures = sum(1 for res in results if res[0] == "err")
+        self.failures += failures
+        self.ops_applied += len(results) - failures
         self.batches += 1
         self.prefetch_pairs += prefetched
         self.apply_time.add(time.perf_counter() - t0)
@@ -241,7 +213,7 @@ def worker_main(
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class ProcessShardHandle:
+class ProcessShardHandle(QueuedShard):
     """A :class:`TrackerShard`-shaped front for one worker process.
 
     Same submission surface (``depth``/``submit``/``stop``) and same
@@ -263,21 +235,8 @@ class ProcessShardHandle:
                 "worker processes are wall-clock only; the virtual clock's "
                 "determinism holds on a single cooperative loop (see module docs)"
             )
-        self.shard_id = shard_id
+        super().__init__(shard_id, clock, metrics, batch_size)
         self.spec = spec
-        self.clock = clock
-        self.metrics = metrics
-        self.batch_size = batch_size
-
-        #: admitted-but-unserviced operations (the bounded-queue gauge)
-        self.depth = 0
-        #: uniform with TrackerShard; never advances under a wall clock
-        self.busy_until = 0.0
-        #: per-shard SLI counters (see :func:`repro.serve.shard.shard_sli`)
-        self.submitted = 0
-        self.rejected = 0
-        self.completed_ops = 0
-        self.latency = TimerStat()
 
         # audit-facing state, ingested from the final frame at stop()
         self.epochs: dict[str, int] = {}
@@ -286,8 +245,6 @@ class ProcessShardHandle:
         self.worker_stats: dict = {}
         self._ledger = CostLedger()
 
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._pump: asyncio.Task | None = None
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._chan: AsyncChannel | None = None
 
@@ -303,10 +260,7 @@ class ProcessShardHandle:
         """Fork the worker and spawn the pump (requires a running loop)."""
         if self._proc is None:
             self._spawn()
-        if self._pump is None:
-            self._pump = asyncio.create_task(
-                self._run(), name=f"shard-pump-{self.shard_id}"
-            )
+        super().start()
 
     def _spawn(self) -> None:
         parent_sock, child_sock = socket_pair()
@@ -322,28 +276,15 @@ class ProcessShardHandle:
         self._proc = proc
         self._chan = AsyncChannel(parent_sock)
 
-    def submit(self, req: Request, arrival_t: float) -> asyncio.Future:
-        """Enqueue an admitted request; resolves to its :class:`OpResponse`."""
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self.depth += 1
-        self.submitted += 1
-        self._queue.put_nowait(_Admitted(req, arrival_t, fut))
-        return fut
-
     async def stop(self) -> None:
         """Drain, retire the pump, then collect the worker's final frame.
 
-        Mirrors :meth:`TrackerShard.stop`'s claim-before-await: the pump
-        (and then the channel) is claimed before any await so concurrent
-        stops cannot both retire the worker.
+        The channel is claimed before any await, like the pump in
+        :meth:`QueuedShard._retire`, so concurrent stops cannot both
+        retire the worker.
         """
-        await self._queue.join()
-        pump = self._pump
-        if pump is None:
+        if not await self._retire():
             return
-        self._pump = None
-        self._queue.put_nowait(_STOP)
-        await pump
         chan = self._chan
         if chan is None:
             return
@@ -376,8 +317,8 @@ class ProcessShardHandle:
         were in flight inside the dead worker are lost — the caller
         decides what to resubmit.
         """
-        pump = self._pump
-        self._pump = None
+        pump = self._worker
+        self._worker = None
         if pump is not None:
             pump.cancel()
             await asyncio.gather(pump, return_exceptions=True)
@@ -407,7 +348,7 @@ class ProcessShardHandle:
 
     async def health(self) -> dict:
         """Probe the worker; a dead/stopped worker reports unalive."""
-        if self._pump is None or self._proc is None or not self._proc.is_alive():
+        if self._worker is None or self._proc is None or not self._proc.is_alive():
             return {
                 "shard_id": self.shard_id,
                 "mode": "process",
@@ -429,51 +370,21 @@ class ProcessShardHandle:
     # ------------------------------------------------------------------
     # pump
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
+    def _channel(self) -> AsyncChannel:
         chan = self._chan
         if chan is None:  # pragma: no cover - start() always spawns first
-            raise RuntimeError("pump started without a channel")
-        kind, _hello = await chan.recv()
+            raise RuntimeError("pump running without a channel")
+        return chan
+
+    async def _run(self) -> None:
+        kind, _hello = await self._channel().recv()
         if kind != "ready":
             raise RuntimeError(f"worker sent {kind!r} instead of ready frame")
-        queue = self._queue
-        while True:
-            item = await queue.get()
-            if item is _STOP:
-                queue.task_done()
-                return
-            if isinstance(item, _Control):
-                await self._converse(chan, item)
-                queue.task_done()
-                continue
-            batch = [item]
-            control_after: _Control | None = None
-            stopping = False
-            while len(batch) < self.batch_size:
-                try:
-                    nxt = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _STOP:
-                    queue.task_done()
-                    stopping = True
-                    break
-                if isinstance(nxt, _Control):
-                    # keep FIFO: finish this batch, then run the control
-                    control_after = nxt
-                    break
-                batch.append(nxt)
-            await self._round_trip(chan, batch)
-            for _ in batch:
-                queue.task_done()
-            if control_after is not None:
-                await self._converse(chan, control_after)
-                queue.task_done()
-            if stopping:
-                return
+        await super()._run()
 
-    async def _converse(self, chan: AsyncChannel, item: _Control) -> None:
+    async def _converse(self, item: _Control) -> None:
         """One control request/reply; transport errors go to the waiter."""
+        chan = self._channel()
         try:
             await chan.send(item.kind, item.payload)
             reply = await chan.recv()
@@ -484,35 +395,16 @@ class ProcessShardHandle:
         if not item.future.done():
             item.future.set_result(reply)
 
-    async def _round_trip(self, chan: AsyncChannel, batch: list[_Admitted]) -> None:
-        """Ship one batch to the worker and settle its futures."""
+    async def _serve(self, batch: list[_Admitted]) -> None:
+        """Ship one batch to the worker and settle its reply."""
+        chan = self._channel()
         await chan.send("batch", [item.req for item in batch])
         kind, payload = await chan.recv()
         if kind != "results":
             raise RuntimeError(f"worker sent {kind!r} instead of results frame")
         results = payload["results"]
-        now = self.clock.now
-        for item, res in zip(batch, results, strict=True):
-            self.depth -= 1
-            if res[0] == "err":
-                self.metrics.record_failure()
-                if not item.future.done():
-                    item.future.set_exception(res[1])
-                continue
-            _tag, proxy, cost, epoch, coalesced = res
-            resp = OpResponse(
-                kind=kind_of(item.req),
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=now,
+        if len(results) != len(batch):
+            raise RuntimeError(
+                f"worker sent {len(results)} results for a batch of {len(batch)}"
             )
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(resp.kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
-        self.metrics.record_batch(len(batch), payload["prefetched"])
+        self._settle(batch, payload["prefetched"], iter(results))

@@ -26,11 +26,27 @@ from hypothesis import given, settings, strategies as st
 from repro.core.batch import BatchMOTEngine, audit_batch_core
 from repro.core.costs import close_to
 from repro.core.mot import MOTConfig, MOTTracker
-from repro.graphs.generators import grid_network
+from repro.graphs.generators import (
+    erdos_renyi_network,
+    grid_network,
+    random_geometric_network,
+    random_tree_network,
+    ring_network,
+)
+from repro.hierarchy.general import build_general_hierarchy
 from repro.scenarios.registry import all_scenarios
 
 NET = grid_network(6, 6)
 NODES = tuple(NET.nodes)
+#: equal-size networks for the random-stream suite: the grid the other
+#: layers use plus the general topologies the engine must also match on
+TOPOLOGIES = {
+    "grid": NET,
+    "geometric": random_geometric_network(len(NODES), seed=4),
+    "erdos-renyi": erdos_renyi_network(len(NODES), seed=4),
+    "tree": random_tree_network(len(NODES), seed=4),
+    "ring": ring_network(len(NODES)),
+}
 CONFIGS = {
     "default": MOTConfig(),
     "sdl-cost": MOTConfig(count_special_parent_cost=True),
@@ -117,27 +133,34 @@ def _assert_ledgers_match(tracker, engine, ops, outcomes):
 
 @st.composite
 def op_streams(draw):
-    """A FIFO op stream over a small object pool, duplicates encouraged."""
+    """A FIFO op stream over a small object pool, duplicates encouraged.
+
+    Nodes are drawn as indices, so one stream runs on any topology of
+    ``len(NODES)`` sensors.
+    """
     n_ops = draw(st.integers(min_value=1, max_value=120))
     objs = [f"o{i}" for i in range(draw(st.integers(min_value=1, max_value=8)))]
     ops = []
     for _ in range(n_ops):
         kind = draw(st.sampled_from(("publish", "move", "move", "query", "query")))
         obj = draw(st.sampled_from(objs))
-        node = draw(st.sampled_from(NODES))
+        node = draw(st.integers(min_value=0, max_value=len(NODES) - 1))
         ops.append((kind, obj, node))
     return ops
 
 
 class TestPropertyEquivalence:
+    @pytest.mark.parametrize("topology", list(TOPOLOGIES))
     @settings(max_examples=60, deadline=None)
     @given(ops=op_streams(), chunk_seed=st.integers(min_value=0, max_value=2**16))
-    def test_random_streams_match_scalar(self, ops, chunk_seed):
+    def test_random_streams_match_scalar(self, topology, ops, chunk_seed):
+        net = TOPOLOGIES[topology]
+        ops = [(kind, obj, net.node_at(i)) for kind, obj, i in ops]
         cfg = CONFIGS["default"]
-        tracker, scalar_results = _run_scalar(NET, cfg, 3, ops)
+        tracker, scalar_results = _run_scalar(net, cfg, 3, ops)
         rng = random.Random(chunk_seed)
         engine, outcomes = _run_batch(
-            NET, cfg, 3, ops, _chunks_covering(len(ops), rng)
+            net, cfg, 3, ops, _chunks_covering(len(ops), rng)
         )
         _assert_equivalent(ops, scalar_results, outcomes)
         _assert_ledgers_match(tracker, engine, ops, outcomes)
@@ -257,6 +280,12 @@ class TestEdgeCases:
         assert out[1].cost == out[0].cost and out[1].proxy == out[0].proxy
         # the twin is answered but not re-charged
         assert engine.ledger.query_ops == 1
+
+    def test_general_hierarchy_refused_with_typed_error(self):
+        """The §6 hierarchy has no per-level member lists to tabulate."""
+        hs = build_general_hierarchy(NET, seed=1)
+        with pytest.raises(ValueError, match="requires a Hierarchy"):
+            BatchMOTEngine(hs)
 
     def test_unknown_kind_rejected_in_place(self):
         out = self._engine().apply_ops([("frobnicate", "a", NODES[0])])

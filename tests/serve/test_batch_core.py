@@ -4,8 +4,9 @@
 struct-of-arrays :class:`~repro.core.batch.BatchMOTEngine` while the
 audit-facing state (epochs, op log, query log) stays core-owned. The
 contract: a batch-mode core fed the same request stream as a scalar
-core produces the same results, logs and epochs — and snapshots taken
-from either mode restore into either mode.
+core through :meth:`ShardCore.apply` produces the same results, logs
+and epochs — snapshots taken from either mode restore into either
+mode, and whole virtual-clock service runs report identically.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.costs import close_to
 from repro.core.mot import MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
+from repro.serve.bench import ServeBenchConfig, run_serve_bench
 from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest
 from repro.serve.shard import ShardCore
 from repro.serve.snapshot import capture_snapshot, restore_snapshot
@@ -47,24 +49,12 @@ def _request_stream(seed: int = 13, objects: int = 6, n: int = 120):
     return reqs
 
 
-def _drive_scalar(core: ShardCore, reqs, batch_size: int = 16):
-    """The scalar reference: apply_one per request, coalescing per batch."""
+def _drive(core: ShardCore, reqs, batch_size: int = 16):
+    """Feed ``reqs`` through the production entry point, batch by batch."""
     results = []
     for i in range(0, len(reqs), batch_size):
-        answered: dict = {}
-        for req in reqs[i : i + batch_size]:
-            try:
-                proxy, cost, epoch, coalesced = core.apply_one(req, answered)
-                results.append(("ok", proxy, cost, epoch, coalesced))
-            except Exception as exc:  # noqa: BLE001 - parity needs them all
-                results.append(("err", exc))
-    return results
-
-
-def _drive_batch(core: ShardCore, reqs, batch_size: int = 16):
-    results = []
-    for i in range(0, len(reqs), batch_size):
-        results.extend(core.apply_requests(reqs[i : i + batch_size]))
+        _prefetched, batch_results = core.apply(reqs[i : i + batch_size])
+        results.extend(batch_results)
     return results
 
 
@@ -73,8 +63,8 @@ class TestApplyParity:
         reqs = _request_stream()
         scalar = ShardCore(MOTTracker(HIER))
         batch = ShardCore(MOTTracker(HIER), batch=True)
-        res_s = _drive_scalar(scalar, reqs)
-        res_b = _drive_batch(batch, reqs)
+        res_s = _drive(scalar, reqs)
+        res_b = _drive(batch, reqs)
         assert len(res_s) == len(res_b) == len(reqs)
         for k, (a, b) in enumerate(zip(res_s, res_b)):
             assert a[0] == b[0], (k, reqs[k], a, b)
@@ -90,8 +80,8 @@ class TestApplyParity:
         reqs = _request_stream()
         scalar = ShardCore(MOTTracker(HIER))
         batch = ShardCore(MOTTracker(HIER), batch=True)
-        _drive_scalar(scalar, reqs)
-        _drive_batch(batch, reqs)
+        _drive(scalar, reqs)
+        _drive(batch, reqs)
         assert batch.epochs == scalar.epochs
         assert batch.oplog == scalar.oplog
         assert batch.query_log == scalar.query_log
@@ -114,6 +104,22 @@ class TestApplyParity:
         # the failed ops never reached the audit logs
         assert list(core.oplog) == ["a"] and len(core.oplog["a"]) == 1
 
+    def test_scalar_apply_is_lazy(self):
+        """Each op's tracker work runs when its result is pulled."""
+        core = ShardCore(MOTTracker(HIER))
+        _, results = core.apply([PublishRequest("a", NET.node_at(0))])
+        assert "a" not in core.oplog  # nothing pulled, nothing applied
+        list(results)
+        prefetched, results = core.apply(
+            [MoveRequest("a", NET.node_at(6)), PublishRequest("b", NET.node_at(1))]
+        )
+        assert prefetched == 1
+        assert core.oplog["a"] == [("publish", NET.node_at(0))]
+        assert next(results)[0] == "ok"
+        assert core.oplog["a"][-1] == ("move", NET.node_at(6))
+        assert "b" not in core.oplog
+        assert next(results)[0] == "ok" and "b" in core.oplog
+
     def test_apply_requests_requires_batch_mode(self):
         core = ShardCore(MOTTracker(HIER))
         with pytest.raises(RuntimeError, match="batch-mode"):
@@ -128,8 +134,7 @@ class TestSnapshotRoundTrip:
         reqs = _request_stream(seed=21, objects=4, n=60)
         tail = _request_stream(seed=22, objects=4, n=40)[4:]  # skip publishes
         src = ShardCore(MOTTracker(HIER), batch=src_batch)
-        drive = _drive_batch if src_batch else _drive_scalar
-        drive(src, reqs)
+        _drive(src, reqs)
         snap = capture_snapshot(src, shard_id=0)
 
         dst = ShardCore(MOTTracker(HIER), batch=dst_batch)
@@ -139,11 +144,63 @@ class TestSnapshotRoundTrip:
         assert dst.ledger == src.ledger
 
         # the restored core answers the continuation like the original
-        drive_dst = _drive_batch if dst_batch else _drive_scalar
-        res_src = drive(src, tail)
-        res_dst = drive_dst(dst, tail)
+        res_src = _drive(src, tail)
+        res_dst = _drive(dst, tail)
         for k, (a, b) in enumerate(zip(res_src, res_dst)):
             assert a[0] == b[0], (k, tail[k], a, b)
             if a[0] == "ok":
                 assert a[1] == b[1] and a[3] == b[3]
                 assert close_to(a[2], b[2])
+
+
+def _mode_blind(report: dict) -> dict:
+    """``report`` minus the fields that legitimately differ by mode.
+
+    Only the configured mode itself and the move-prefetch counters may
+    differ: the columnar engine batches its own oracle lookups, so it
+    never prefetches. Everything else — latencies, batches, rejections,
+    ledger, audit, per-shard SLIs, trace digest — must match exactly.
+    """
+    out = dict(report)
+    out["config"] = {k: v for k, v in report["config"].items() if k != "batch_core"}
+    out["service"] = {
+        k: v for k, v in report["service"].items() if k != "prefetch_pairs"
+    }
+    out["snapshots"] = [
+        {
+            **snap,
+            "counters": {
+                k: v
+                for k, v in snap["counters"].items()
+                if k != "serve.prefetch_pairs"
+            },
+        }
+        for snap in report["snapshots"]
+    ]
+    out["prometheus"] = "\n".join(
+        line
+        for line in report["prometheus"].splitlines()
+        if "prefetch_pairs" not in line
+    )
+    return out
+
+
+class TestCrossModeServe:
+    @pytest.mark.parametrize("rate", [500.0, 5000.0])
+    def test_scalar_and_columnar_runs_report_identically(self, rate):
+        """One settle loop charges both modes identically (virtual clock).
+
+        At 5000 ops/s the shards' queues fill and admission control
+        rejects, so batching and rejection decisions are compared too.
+        """
+        scalar = run_serve_bench(ServeBenchConfig(rate=rate, seed=7))
+        columnar = run_serve_bench(
+            ServeBenchConfig(rate=rate, seed=7, batch_core=True)
+        )
+        assert scalar["config"]["batch_core"] is False
+        assert columnar["config"]["batch_core"] is True
+        assert scalar["service"]["prefetch_pairs"] > 0
+        assert columnar["service"]["prefetch_pairs"] == 0
+        assert _mode_blind(scalar) == _mode_blind(columnar)
+        if rate > 1000:
+            assert scalar["loadgen"]["rejected"]["queue"] > 0
