@@ -20,7 +20,7 @@ from repro.hierarchy.structure import build_hierarchy
 def test_mot_on_4096_sensors(benchmark):
     def experiment():
         net = grid_network(64, 64)
-        assert net.distance_mode == "lazy"
+        assert net.distance_backend.name == "lazy"
         hs = build_hierarchy(net, seed=1)
         tracker = MOTTracker(hs)
         rnd = random.Random(0)

@@ -56,23 +56,25 @@ Kernel contracts (all FIFO-order preserving; see :meth:`apply_ops`):
 - Ledger deltas are reduced per kernel call through the
   ``CostLedger.record_*_batch`` APIs.
 
-:func:`audit_batch_core` is the equivalence gate: it replays an engine's
-op log through a fresh sequential :class:`MOTTracker` and asserts
-identical proxies and epochs, per-query answers, and ``close_to``
-ledgers — the same pattern :func:`repro.serve.audit.audit_service` uses
-for the serve layer, gated in CI by ``repro audit-batch``.
+:func:`audit_batch_core` is the equivalence gate: it runs the one
+replay audit (:func:`repro.core.audit.replay_audit`, which
+:func:`repro.serve.audit.audit_service` runs for the serve layer) over
+the engine's history and checks the final proxies and epochs in the
+state arrays against the reference — gated in CI by
+``repro audit-batch``.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.costs import CostLedger, close_to
-from repro.core.mot import MOTConfig, MOTTracker
+from repro.core.audit import AuditReport, QueryRecord, replay_audit
+from repro.core.costs import CostLedger
+from repro.core.mot import MOTConfig
 from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import BaseHierarchy, Hierarchy, build_hierarchy
 
@@ -81,8 +83,6 @@ Node = Hashable
 __all__ = [
     "BatchMOTEngine",
     "BatchOutcome",
-    "BatchQueryRecord",
-    "BatchAuditReport",
     "audit_batch_core",
 ]
 
@@ -224,22 +224,6 @@ class BatchOutcome:
         return self.error is None
 
 
-class BatchQueryRecord(NamedTuple):
-    """One answered query, shaped for the equivalence audit.
-
-    A named tuple, not a dataclass: ``apply_ops`` creates one per
-    answered query on the hot path and tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
-    """
-
-    obj: str
-    epoch: int
-    source: Node
-    proxy: Node
-    cost: float
-    coalesced: bool
-
-
 class BatchMOTEngine:
     """Vectorized Algorithm 1 over columnar state (module docstring).
 
@@ -249,6 +233,14 @@ class BatchMOTEngine:
     keeps multi-node levels and per-rank SDL placement, and the §6
     :class:`~repro.hierarchy.general.GeneralHierarchy` has no per-level
     member lists to tabulate; both stay on the scalar tracker.
+
+    The engine logs its own history — ``epochs``, ``oplog`` and
+    ``query_log`` — which a columnar serve shard adopts as its own and
+    the replay audit checks. ``query_log`` holds
+    :class:`~repro.core.audit.QueryRecord` named tuples, not dataclass
+    instances: :meth:`apply_ops` creates one per answered query on the
+    hot path, and tuple construction is several times cheaper than a
+    frozen dataclass ``__init__``.
     """
 
     def __init__(self, hierarchy: BaseHierarchy, config: MOTConfig | None = None) -> None:
@@ -278,9 +270,11 @@ class BatchMOTEngine:
         self._epoch = np.zeros(cap, dtype=np.int64)
         self._published = np.zeros(cap, dtype=bool)
 
-        #: applied mutations per object + answered queries, for the audit
+        #: the history the audit replays: per-object applied-move count,
+        #: applied mutations per object, answered queries in FIFO order
+        self.epochs: dict[str, int] = {}
         self.oplog: dict[str, list[tuple[str, Node]]] = {}
-        self.query_log: list[BatchQueryRecord] = []
+        self.query_log: list[QueryRecord] = []
 
     @classmethod
     def build(
@@ -783,208 +777,43 @@ class BatchMOTEngine:
                 coalesced=True,
             )
 
-        # audit-facing logs, in FIFO order
-        olog = self.oplog
-        olog_get = olog.setdefault
+        # the history, in FIFO order
+        epochs = self.epochs
+        olog_get = self.oplog.setdefault
         qlog_append = self.query_log.append
         for (kind, obj, node), out in zip(ops, outcomes):
             if out.error is not None:
                 continue
             if kind == "query":
                 qlog_append(
-                    BatchQueryRecord(
-                        obj, out.epoch, node, out.proxy, out.cost, out.coalesced
-                    )
+                    QueryRecord(obj, out.epoch, node, out.proxy, out.cost, out.coalesced)
                 )
             else:
                 olog_get(obj, []).append((kind, node))
+                epochs[obj] = out.epoch
         return outcomes
 
 
-# ----------------------------------------------------------------------
-# the equivalence audit
-# ----------------------------------------------------------------------
-@dataclass
-class BatchAuditReport:
-    """Outcome of one batch-vs-scalar equivalence audit."""
+def audit_batch_core(engine: BatchMOTEngine) -> AuditReport:
+    """Replay an engine's history through a sequential MOT and compare.
 
-    objects_checked: int = 0
-    moves_replayed: int = 0
-    queries_checked: int = 0
-    proxy_mismatches: int = 0
-    epoch_mismatches: int = 0
-    cost_mismatches: int = 0
-    ledger_mismatches: list[str] = field(default_factory=list)
-    examples: list[dict] = field(default_factory=list)
-
-    MAX_EXAMPLES = 10
-
-    @property
-    def mismatches(self) -> int:
-        """Total mismatches of any kind."""
-        return (
-            self.proxy_mismatches
-            + self.epoch_mismatches
-            + self.cost_mismatches
-            + len(self.ledger_mismatches)
-        )
-
-    @property
-    def ok(self) -> bool:
-        """Whether the batch engine matched the sequential reference."""
-        return self.mismatches == 0
-
-    def record(self, kind: str, detail: dict) -> None:
-        """Count one mismatch and keep an example if there is room."""
-        if kind == "proxy":
-            self.proxy_mismatches += 1
-        elif kind == "epoch":
-            self.epoch_mismatches += 1
-        else:
-            self.cost_mismatches += 1
-        if len(self.examples) < self.MAX_EXAMPLES:
-            self.examples.append({"kind": kind, **detail})
-
-    def as_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "ok": self.ok,
-            "objects_checked": self.objects_checked,
-            "moves_replayed": self.moves_replayed,
-            "queries_checked": self.queries_checked,
-            "proxy_mismatches": self.proxy_mismatches,
-            "epoch_mismatches": self.epoch_mismatches,
-            "cost_mismatches": self.cost_mismatches,
-            "ledger_mismatches": list(self.ledger_mismatches),
-            "examples": list(self.examples),
-        }
-
-
-#: ledger fields the audit compares (sums close_to, counts exact)
-_LEDGER_FLOAT_FIELDS = (
-    "publish_cost",
-    "maintenance_cost",
-    "maintenance_optimal",
-    "query_cost",
-    "query_optimal",
-)
-_LEDGER_INT_FIELDS = (
-    "maintenance_ops",
-    "maintenance_messages",
-    "noop_moves",
-    "query_ops",
-    "query_messages",
-    "local_queries",
-)
-
-
-def audit_batch_core(engine: BatchMOTEngine) -> BatchAuditReport:
-    """Replay an engine's op log through a sequential MOT and compare.
-
-    Checks, per object: final proxy (exact) and epoch (exact); per
-    answered query: proxy exact and cost ``close_to`` (coalesced records
-    against their executed twin, which the reference re-runs); per
-    ledger field: counts exact, cost sums ``close_to`` — the batch
-    engine reduces deltas per kernel call, so sums may differ from the
-    scalar's per-op accumulation by float ordering only.
+    Runs :func:`~repro.core.audit.replay_audit` over the engine's
+    history and ledger — per answered query the proxy exact and the
+    cost ``close_to``, per object the logged epoch, per ledger field
+    counts exact and sums ``close_to`` (the engine reduces deltas per
+    kernel call, so sums differ from the scalar's per-op accumulation
+    by float ordering only). Then checks the kernel state: each
+    object's proxy and epoch in the state arrays against the
+    reference's proxy and the logged epoch the replay just confirmed.
     """
-    report = BatchAuditReport()
-    ref = MOTTracker(engine.hs, engine.config)
-    by_obj_epoch: dict[tuple[str, int], list[BatchQueryRecord]] = {}
-    for rec in engine.query_log:
-        by_obj_epoch.setdefault((rec.obj, rec.epoch), []).append(rec)
-
-    replayed: set[tuple[str, int]] = set()
-    for obj, ops in engine.oplog.items():
-        report.objects_checked += 1
-        epoch = -1
-        for op, node in ops:
-            if op == "publish":
-                ref.publish(obj, node)
-                epoch = 0
-            else:
-                res = ref.move(obj, node)
-                if res.new_proxy != res.old_proxy:
-                    epoch += 1
-                report.moves_replayed += 1
-            if (obj, epoch) not in replayed:
-                replayed.add((obj, epoch))
-                _check_epoch_queries(ref, by_obj_epoch.get((obj, epoch), ()), report)
-        ref_proxy = ref.proxy_of(obj)
-        if engine.proxy_of(obj) != ref_proxy:
-            report.record(
-                "proxy",
-                {"obj": obj, "got": repr(engine.proxy_of(obj)), "expected": repr(ref_proxy)},
-            )
-        if engine.epoch_of(obj) != epoch:
-            report.record(
-                "epoch",
-                {"obj": obj, "got": engine.epoch_of(obj), "expected": epoch},
-            )
-    # query records for never-reached epochs are engine bugs
-    for key, recs in by_obj_epoch.items():
-        if key not in replayed:
-            for rec in recs:
-                report.queries_checked += 1
-                report.record(
-                    "proxy",
-                    {"obj": rec.obj, "epoch": rec.epoch, "expected": "<no such epoch>"},
-                )
-
-    for name in _LEDGER_INT_FIELDS:
-        got, want = getattr(engine.ledger, name), getattr(ref.ledger, name)
+    report, ref = replay_audit(engine.hs, engine.config, [engine], engine.ledger)
+    for obj in engine.oplog:
+        got, want = engine.proxy_of(obj), ref.proxy_of(obj)
         if got != want:
-            report.ledger_mismatches.append(f"{name}: {got} != {want}")
-    for name in _LEDGER_FLOAT_FIELDS:
-        got, want = getattr(engine.ledger, name), getattr(ref.ledger, name)
-        if not close_to(got, want):
-            report.ledger_mismatches.append(f"{name}: {got!r} !~ {want!r}")
+            report.record("proxy", {"obj": obj, "got": repr(got), "expected": repr(want)})
+        got_epoch, want_epoch = engine.epoch_of(obj), engine.epochs.get(obj)
+        if got_epoch != want_epoch:
+            report.record("epoch", {"obj": obj, "got": got_epoch, "expected": want_epoch})
     return report
 
 
-def _check_epoch_queries(
-    ref: MOTTracker, recs: Iterable[BatchQueryRecord], report: BatchAuditReport
-) -> None:
-    executed: dict[tuple[str, Node], tuple[Node, float]] = {}
-    for rec in recs:
-        report.queries_checked += 1
-        expected_proxy = ref.proxy_of(rec.obj)
-        if rec.proxy != expected_proxy:
-            report.record(
-                "proxy",
-                {
-                    "obj": rec.obj,
-                    "epoch": rec.epoch,
-                    "source": repr(rec.source),
-                    "got": repr(rec.proxy),
-                    "expected": repr(expected_proxy),
-                },
-            )
-            continue
-        if rec.coalesced:
-            twin = executed.get((rec.obj, rec.source))
-            if twin is None or not close_to(rec.cost, twin[1]):
-                report.record(
-                    "cost",
-                    {
-                        "obj": rec.obj,
-                        "epoch": rec.epoch,
-                        "source": repr(rec.source),
-                        "got": repr(rec.cost),
-                        "expected": repr(twin[1] if twin else "<no executed twin>"),
-                    },
-                )
-            continue
-        res = ref.query(rec.obj, rec.source)
-        executed[(rec.obj, rec.source)] = (res.proxy, res.cost)
-        if not close_to(rec.cost, res.cost):
-            report.record(
-                "cost",
-                {
-                    "obj": rec.obj,
-                    "epoch": rec.epoch,
-                    "source": repr(rec.source),
-                    "got": repr(rec.cost),
-                    "expected": repr(res.cost),
-                },
-            )

@@ -72,24 +72,22 @@ class SensorNetwork:
     normalize:
         If true (default), rescale all weights so the minimum edge
         weight is exactly 1 (paper §2.1).
-    distance_mode:
-        Backwards-compatible backend selector: ``"full"`` precomputes
-        the all-pairs matrix (O(n²) memory, fastest repeated queries);
-        ``"lazy"`` computes single-source rows on demand and keeps the
-        most recent ones in a bounded LRU (scales to hundreds of
-        thousands of sensors); ``"auto"`` (default) picks ``full`` up
-        to :data:`LAZY_THRESHOLD` nodes. Components that genuinely need
-        the whole matrix (doubling-dimension estimation, sparse covers)
-        require a matrix-backed mode and say so.
     lazy_cache_rows:
         Capacity of the exact row cache (default
         :data:`LAZY_CACHE_ROWS`). Memory is ``capacity · n`` floats;
         unused by matrix-backed modes.
     distance_backend:
-        Full backend selector, superseding ``distance_mode`` when
-        given: any name in :data:`repro.graphs.backends.BACKEND_NAMES`
-        (``"full"``, ``"lazy"``, ``"landmark"``, ``"memmap"``) or
-        ``"auto"``.
+        Any name in :data:`repro.graphs.backends.BACKEND_NAMES` or
+        ``"auto"`` (default). ``"full"`` precomputes the all-pairs
+        matrix (O(n²) memory, fastest repeated queries); ``"lazy"``
+        computes single-source rows on demand and keeps the most recent
+        ones in a bounded LRU (scales to hundreds of thousands of
+        sensors); ``"landmark"`` and ``"memmap"`` are described in
+        :mod:`repro.graphs.backends`; ``"auto"`` picks ``full`` up to
+        :data:`LAZY_THRESHOLD` nodes and ``lazy`` above. Components
+        that genuinely need the whole matrix (doubling-dimension
+        estimation, sparse covers) require a matrix-backed backend and
+        say so.
     backend_options:
         Extra keyword arguments for the backend factory — the landmark
         backend accepts ``num_landmarks`` and ``exact_budget``, the
@@ -99,7 +97,7 @@ class SensorNetwork:
     ------
     ValueError
         If the graph is empty, disconnected, has a non-positive edge
-        weight, or the requested mode/backend is unknown.
+        weight, or the requested backend is unknown.
     """
 
     #: "auto" switches from the precomputed matrix to lazy rows here
@@ -114,13 +112,10 @@ class SensorNetwork:
         graph: nx.Graph,
         positions: dict[Node, tuple[float, float]] | None = None,
         normalize: bool = True,
-        distance_mode: str = "auto",
         lazy_cache_rows: int | None = None,
-        distance_backend: str | None = None,
+        distance_backend: str = "auto",
         backend_options: dict[str, object] | None = None,
     ) -> None:
-        if distance_mode not in ("auto", "full", "lazy"):
-            raise ValueError(f"unknown distance_mode {distance_mode!r}")
         if graph.number_of_nodes() == 0:
             raise ValueError("sensor network must have at least one node")
         if not nx.is_connected(graph):
@@ -154,7 +149,7 @@ class SensorNetwork:
         self._all_idx = list(range(len(self._nodes)))
 
         self._positions = dict(positions) if positions else None
-        name = distance_backend if distance_backend is not None else distance_mode
+        name = distance_backend
         if name == "auto":
             name = "full" if len(self._nodes) <= self.LAZY_THRESHOLD else "lazy"
         self._adj_csr: csr_matrix | None = None
@@ -248,11 +243,6 @@ class SensorNetwork:
     # distances (delegated to the backend)
     # ------------------------------------------------------------------
     @property
-    def distance_mode(self) -> str:
-        """Name of the active distance backend (``"full"``, ``"lazy"``, …)."""
-        return self._backend.name
-
-    @property
     def distance_backend(self) -> DistanceBackend:
         """The active :class:`repro.graphs.backends.DistanceBackend`."""
         return self._backend
@@ -292,7 +282,7 @@ class SensorNetwork:
         Computed lazily once; O(n^2) memory. Only matrix-backed
         backends (``full``, ``memmap``) provide it — callers that need
         the whole matrix (doubling estimation, sparse covers) must
-        construct the network with ``distance_mode="full"``.
+        construct the network with ``distance_backend="full"``.
         """
         if not self._backend.supports_matrix:
             mode = self._backend.name
@@ -303,7 +293,7 @@ class SensorNetwork:
             )
             raise RuntimeError(
                 f"distance_matrix is unavailable {qualifier}; "
-                'construct the SensorNetwork with distance_mode="full"'
+                'construct the SensorNetwork with distance_backend="full"'
             )
         return self._backend.matrix()
 

@@ -209,8 +209,7 @@ def drive_workload(net, workload, cfg: ServeBenchConfig) -> dict:
         "network": {
             "nodes": net.n,
             "grid_side": cfg.grid_side,
-            "distance_mode": net.distance_mode,
-            "distance_backend": net.distance_mode,
+            "distance_backend": net.distance_backend.name,
         },
         "loadgen": {
             "offered_rate_ops_s": cfg.rate,

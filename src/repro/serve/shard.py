@@ -11,11 +11,14 @@ the property the consistency audit (:mod:`repro.serve.audit`) checks.
 
 The module has one apply path in two halves:
 
-- :class:`ShardCore` is the clock-free half — tracker, epoch map, op
-  log, query log — and :meth:`ShardCore.apply` is its only batch entry
-  point, scalar or columnar, with one result shape. The forked worker
-  (:mod:`repro.serve.worker`) runs the same core on the far side of the
-  process boundary.
+- :class:`ShardCore` is the clock-free half — the kernel and the
+  shard's one history (epoch map, op log, query log) — and
+  :meth:`ShardCore.apply` is its only batch entry point, scalar or
+  columnar, with one result shape. A columnar core's history is the
+  engine's own log; a scalar core logs in :meth:`ShardCore.apply_one`,
+  so :class:`~repro.core.mot.MOTTracker` keeps no log and stays the
+  reference. The forked worker (:mod:`repro.serve.worker`) runs the
+  same core on the far side of the process boundary.
 - :class:`QueuedShard` is the scheduling half every shard backend
   shares — the admission queue, the SLI counters, the FIFO batch drain
   and :meth:`QueuedShard._settle`, the one loop that turns results into
@@ -47,15 +50,17 @@ Per wakeup the shard:
    busy horizon, in wall mode completions are real clock readings.
 
 All applied operations land in ``oplog``/``query_log`` so the audit
-can replay them against the sequential reference.
+(:func:`repro.core.audit.replay_audit`) can replay them against the
+sequential reference.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Union
+from typing import Any, Hashable, Iterator, Sequence, Union
 
+from repro.core.audit import QueryRecord
 from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTTracker
@@ -81,18 +86,6 @@ __all__ = ["QueuedShard", "ShardCore", "TrackerShard", "QueryRecord", "shard_sli
 _STOP = object()
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One answered query, as the audit will replay it."""
-
-    obj: str
-    epoch: int
-    source: Node
-    proxy: Node
-    cost: float
-    coalesced: bool
-
-
 @dataclass
 class _Admitted:
     """One queued operation: the request, its stamp, and its waiter."""
@@ -105,8 +98,8 @@ class _Admitted:
 class ShardCore:
     """The clock-free state and apply path of one shard.
 
-    Owns the tracker and the three audit-facing structures: per-object
-    epochs, the applied op log, and the answered-query log. Everything
+    Owns the kernel and the shard's history: per-object epochs, the
+    applied op log, and the answered-query log. Everything
     here is synchronous and scheduler-agnostic — the asyncio
     :class:`TrackerShard` and the process-boundary
     :class:`~repro.serve.worker.ShardWorker` both drive it through
@@ -116,20 +109,19 @@ class ShardCore:
     def __init__(self, tracker: MOTTracker, batch: bool = False) -> None:
         self.tracker = tracker
         #: columnar apply path (``batch=True``): the struct-of-arrays
-        #: engine replaces per-op tracker calls with vectorized kernels.
-        #: The engine keeps its *own* op/query logs for
-        #: :func:`repro.core.batch.audit_batch_core`; the core's logs
-        #: below stay authoritative for the service audit and snapshots
-        #: in both modes.
-        self.engine: BatchMOTEngine | None = (
-            BatchMOTEngine(tracker.hs, tracker.config) if batch else None
-        )
+        #: engine replaces per-op tracker calls with vectorized kernels
+        #: and logs the history itself, so the three structures below
+        #: are the engine's own (``core.oplog is core.engine.oplog``)
+        engine = BatchMOTEngine(tracker.hs, tracker.config) if batch else None
+        self.engine: BatchMOTEngine | None = engine
         #: per-object applied-move count (the audit's version number)
-        self.epochs: dict[str, int] = {}
+        self.epochs: dict[str, int] = {} if engine is None else engine.epochs
         #: applied ops per object: [("publish", proxy), ("move", new), ...]
-        self.oplog: dict[str, list[tuple[str, Node]]] = {}
+        self.oplog: dict[str, list[tuple[str, Node]]] = (
+            {} if engine is None else engine.oplog
+        )
         #: every answered query in execution order
-        self.query_log: list[QueryRecord] = []
+        self.query_log: list[QueryRecord] = [] if engine is None else engine.query_log
 
     @property
     def ledger(self) -> CostLedger:
@@ -144,30 +136,25 @@ class ShardCore:
             self.tracker.ledger = ledger
 
     def replay_history(self, oplog: dict[str, list[tuple[str, Node]]]) -> None:
-        """Rebuild the active kernel's structure by replaying ``oplog``.
+        """Rebuild kernel state, epochs and op log by replaying ``oplog``.
 
         Used by snapshot restore: MOT state is deterministic in the
-        operation history, so replaying through the public apply path
-        reproduces it bit-identically in either mode.
+        operation history, so replaying it through :meth:`apply` — one
+        batch, either mode — reproduces it bit-identically, and logs
+        the replayed history as it goes.
         """
+        reqs: list[Request] = []
         for obj, ops in oplog.items():
-            for op, _node in ops:
-                if op not in ("publish", "move"):
+            for op, node in ops:
+                if op == "publish":
+                    reqs.append(PublishRequest(obj, node))
+                elif op == "move":
+                    reqs.append(MoveRequest(obj, node))
+                else:
                     raise ValueError(f"unknown oplog entry {op!r} for {obj!r}")
-        if self.engine is not None:
-            flat = [
-                (op, obj, node) for obj, ops in oplog.items() for op, node in ops
-            ]
-            for out in self.engine.apply_ops(flat):
-                if out.error is not None:
-                    raise out.error
-        else:
-            for obj, ops in oplog.items():
-                for op, node in ops:
-                    if op == "publish":
-                        self.tracker.publish(obj, node)
-                    else:
-                        self.tracker.move(obj, node)
+        for res in self.apply(reqs)[1]:
+            if res[0] == "err":
+                raise res[1]
 
     def apply(self, reqs: list[Request]) -> tuple[int, Iterator[tuple]]:
         """Apply one drained batch: the only batch entry point.
@@ -256,13 +243,13 @@ class ShardCore:
             if hit is not None:
                 proxy, cost = hit
                 self.query_log.append(
-                    QueryRecord(req.obj, epoch, req.source, proxy, cost, coalesced=True)
+                    QueryRecord(req.obj, epoch, req.source, proxy, cost, True)
                 )
                 return proxy, cost, epoch, True
             res = self.tracker.query(req.obj, req.source)
             answered[(req.obj, epoch, req.source)] = (res.proxy, res.cost)
             self.query_log.append(
-                QueryRecord(req.obj, epoch, req.source, res.proxy, res.cost, coalesced=False)
+                QueryRecord(req.obj, epoch, req.source, res.proxy, res.cost, False)
             )
             return res.proxy, res.cost, epoch, False
         raise TypeError(f"not a service request: {req!r}")
@@ -288,25 +275,12 @@ class ShardCore:
                 ops.append(("query", req.obj, req.source))
             else:
                 raise TypeError(f"not a service request: {req!r}")
-        results: list[tuple] = []
-        for (kind, obj, node), out in zip(ops, engine.apply_ops(ops), strict=True):
-            if out.error is not None:
-                results.append(("err", out.error))
-                continue
-            if kind == "publish":
-                self.epochs[obj] = 0
-                self.oplog.setdefault(obj, []).append(("publish", node))
-            elif kind == "move":
-                self.epochs[obj] = out.epoch
-                self.oplog[obj].append(("move", node))
-            else:
-                self.query_log.append(
-                    QueryRecord(
-                        obj, out.epoch, node, out.proxy, out.cost, out.coalesced
-                    )
-                )
-            results.append(("ok", out.proxy, out.cost, out.epoch, out.coalesced))
-        return results
+        return [
+            ("err", out.error)
+            if out.error is not None
+            else ("ok", out.proxy, out.cost, out.epoch, out.coalesced)
+            for out in engine.apply_ops(ops)
+        ]
 
 
 def shard_sli(shard, makespan_s: float | None = None) -> dict:
@@ -352,7 +326,14 @@ class QueuedShard:
     the ``_STOP`` sentinel, or a subclass's control request
     (:meth:`_converse`). A subclass applies each batch in
     :meth:`_serve` and hands the results to :meth:`_settle`.
+
+    The audit views — ``epochs``, ``oplog``, ``query_log``, ``ledger``
+    — read the subclass's :attr:`history`: the live :class:`ShardCore`
+    in-process, the worker's final snapshot across the process boundary.
     """
+
+    #: the shard's history; anything with the four audit views
+    history: Any
 
     def __init__(
         self,
@@ -382,6 +363,26 @@ class QueuedShard:
 
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker: asyncio.Task | None = None
+
+    @property
+    def epochs(self) -> dict[str, int]:
+        """Per-object applied-move counts."""
+        return self.history.epochs
+
+    @property
+    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
+        """Applied operations per object, in order."""
+        return self.history.oplog
+
+    @property
+    def query_log(self) -> Sequence[QueryRecord]:
+        """Every answered query in execution order."""
+        return self.history.query_log
+
+    @property
+    def ledger(self) -> CostLedger:
+        """The shard's cost ledger."""
+        return self.history.ledger
 
     def start(self) -> None:
         """Spawn the worker task (requires a running event loop)."""
@@ -548,35 +549,12 @@ class TrackerShard(QueuedShard):
         super().__init__(
             shard_id, clock, metrics, batch_size, service_time_base_s, service_time_per_cost_s
         )
-        self.core = ShardCore(tracker, batch=batch)
+        self.core = self.history = ShardCore(tracker, batch=batch)
 
-    # ------------------------------------------------------------------
-    # core state views (the audit and the service read these)
-    # ------------------------------------------------------------------
     @property
     def tracker(self) -> MOTTracker:
         """The shard's MOT instance."""
         return self.core.tracker
-
-    @property
-    def epochs(self) -> dict[str, int]:
-        """Per-object applied-move counts."""
-        return self.core.epochs
-
-    @property
-    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
-        """Applied operations per object, in order."""
-        return self.core.oplog
-
-    @property
-    def query_log(self) -> list[QueryRecord]:
-        """Every answered query in execution order."""
-        return self.core.query_log
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The shard's cost ledger (uniform with process handles)."""
-        return self.core.ledger
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -8,16 +8,18 @@ crosses the worker process boundary as-is (the ``snapshot`` /
 through :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` for
 on-disk checkpoints.
 
-Restore is **replay-based**: rather than serializing the tracker's
-internal DL/SDL/spine representation (private state the tracker is
-free to re-shape), restore replays the op log through the public
-``publish``/``move`` API against a fresh tracker over the same
-hierarchy. Determinism of the MOT structure makes the rebuilt state
-bit-identical to the original; the ledger is then overwritten with the
-snapshot's ledger so costs are carried once, not re-accrued (the
-replay's own accrual is discarded with the interim ledger). This is
-the same argument the consistency audit rests on — a snapshot that
-restores wrong would also fail its shard's audit.
+Restore is **replay-based**: rather than serializing the kernel's
+internal DL/SDL/spine representation (private state the tracker and
+the columnar engine are free to re-shape), restore replays the op log
+through the shard's one apply path into a fresh core over the same
+hierarchy, which rebuilds kernel state, epochs and op log together.
+Determinism of the MOT structure makes the rebuilt state bit-identical
+to the original — a snapshot whose replayed epochs disagree with its
+own is refused. The query log is then installed and the ledger
+overwritten with the snapshot's, so costs are carried once, not
+re-accrued (the replay's own accrual is discarded with the interim
+ledger). This is the same argument the replay audit rests on — a
+snapshot that restores wrong would also fail its shard's audit.
 
 On top of capture/restore, :func:`split_snapshot` and
 :func:`merge_snapshots` rebalance object ownership for elastic
@@ -51,7 +53,8 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 1
+#: (2: query records are :class:`~repro.core.audit.QueryRecord` tuples)
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,11 @@ def capture_snapshot(core, shard_id: int) -> ShardSnapshot:
 def restore_snapshot(core, snap: ShardSnapshot) -> None:
     """Rebuild ``snap``'s state inside the empty shard ``core``.
 
-    Replays the op log through the core's public apply path (see
-    module docstring), then installs the snapshot's epoch map, logs
-    and ledger. ``core`` must be fresh — restoring over live objects
-    would interleave two histories.
+    Replays the op log through the core's apply path (see module
+    docstring), checks the replayed epochs against the snapshot's, then
+    installs the query log and the ledger. ``core`` must be fresh —
+    restoring over live objects would interleave two histories; a
+    refused snapshot leaves it partly rebuilt, so discard it.
     """
     if snap.version != SNAPSHOT_VERSION:
         raise ValueError(
@@ -104,9 +108,9 @@ def restore_snapshot(core, snap: ShardSnapshot) -> None:
     if core.epochs or core.oplog:
         raise ValueError("restore requires an empty shard core")
     core.replay_history(snap.oplog)
-    core.epochs = dict(snap.epochs)
-    core.oplog = {obj: list(ops) for obj, ops in snap.oplog.items()}
-    core.query_log = list(snap.query_log)
+    if core.epochs != snap.epochs:
+        raise ValueError("snapshot epochs differ from its replayed op log")
+    core.query_log.extend(snap.query_log)
     # carry accrued costs once: the replay's own accrual is discarded
     core.install_ledger(copy.deepcopy(snap.ledger))
 

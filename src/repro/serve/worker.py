@@ -19,6 +19,9 @@ This module is both halves of one protocol:
   :class:`~repro.serve.transport.AsyncChannel` and the reply frame's
   results are settled exactly as an in-process core's are; health,
   snapshot and restore requests ride the same queue between batches.
+  At ``stop`` the worker's final frame carries its shard's
+  :class:`~repro.serve.snapshot.ShardSnapshot` home, and the handle's
+  ``epochs``/``oplog``/``query_log``/``ledger`` read that snapshot.
 
 Workers are **forked**, not spawned: the hierarchy and the shared
 :class:`SensorNetwork` (including a PR-6 ``memmap`` distance backend
@@ -31,9 +34,9 @@ Clock semantics: worker processes are **wall-clock only**. The virtual
 clock's determinism contract needs every state transition on one
 cooperative loop; across a process boundary completions are stamped
 with real time on the parent loop and correctness is checked by the
-sequential-replay audit instead (the handle carries the worker's
-``epochs``/``oplog``/``query_log`` home in the final frame, so
-:func:`repro.serve.audit.audit_service` runs unchanged).
+sequential-replay audit instead (the final frame's snapshot is the
+worker's history, so :func:`repro.serve.audit.audit_service` runs
+unchanged).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Hashable, Union
+from typing import Any, Union
 
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig, MOTTracker
@@ -54,7 +57,7 @@ from repro.perf import TimerStat
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import Request
-from repro.serve.shard import QueryRecord, QueuedShard, ShardCore, _Admitted
+from repro.serve.shard import QueuedShard, ShardCore, _Admitted
 from repro.serve.snapshot import (
     ShardSnapshot,
     capture_snapshot,
@@ -68,8 +71,6 @@ from repro.serve.transport import (
     Channel,
     socket_pair,
 )
-
-Node = Hashable
 
 __all__ = ["ProcessShardHandle", "ShardWorker", "WorkerSpec", "worker_main"]
 
@@ -153,12 +154,9 @@ class ShardWorker:
         return "restored", None
 
     def handle_stop(self, _payload: Any) -> tuple[str, Any]:
-        """The final frame: everything the audit and ledger need at home."""
+        """The final frame: the shard's snapshot and the worker counters."""
         return "final", {
-            "epochs": dict(self.core.epochs),
-            "oplog": {obj: list(ops) for obj, ops in self.core.oplog.items()},
-            "query_log": list(self.core.query_log),
-            "ledger": self.core.ledger,
+            "snapshot": capture_snapshot(self.core, self.shard_id),
             "stats": {
                 "ops_applied": self.ops_applied,
                 "batches": self.batches,
@@ -219,7 +217,8 @@ class ProcessShardHandle(QueuedShard):
     Same submission surface (``depth``/``submit``/``stop``) and same
     post-stop audit surface (``epochs``/``oplog``/``query_log``/
     ``ledger``) as the in-process shard; the MOT state itself lives in
-    the child until the final frame carries it home at ``stop``.
+    the child until the final frame carries its snapshot home at
+    ``stop``.
     """
 
     def __init__(
@@ -238,20 +237,15 @@ class ProcessShardHandle(QueuedShard):
         super().__init__(shard_id, clock, metrics, batch_size)
         self.spec = spec
 
-        # audit-facing state, ingested from the final frame at stop()
-        self.epochs: dict[str, int] = {}
-        self.oplog: dict[str, list[tuple[str, Node]]] = {}
-        self.query_log: list[QueryRecord] = []
+        #: the worker's history, its snapshot carried home by the final
+        #: frame at stop() (empty until then)
+        self.history = ShardSnapshot(shard_id, {}, {}, (), CostLedger())
         self.worker_stats: dict = {}
-        self._ledger = CostLedger()
 
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._chan: AsyncChannel | None = None
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The worker tracker's ledger (empty until ``stop`` ingests it)."""
-        return self._ledger
+        #: a restart's restore, run by the new pump before any queued op
+        self._restore_first: _Control | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -294,7 +288,8 @@ class ProcessShardHandle(QueuedShard):
         chan.close()
         if kind != "final":
             raise RuntimeError(f"worker sent {kind!r} instead of final frame")
-        self._ingest_final(final)
+        self.history = final["snapshot"]
+        self.worker_stats = final["stats"]
         proc = self._proc
         self._proc = None
         if proc is not None:
@@ -302,20 +297,14 @@ class ProcessShardHandle(QueuedShard):
             # only reaps the process entry, it does not block the loop
             proc.join(timeout=5.0)
 
-    def _ingest_final(self, final: dict) -> None:
-        self.epochs = final["epochs"]
-        self.oplog = final["oplog"]
-        self.query_log = final["query_log"]
-        self._ledger = final["ledger"]
-        self.worker_stats = final["stats"]
-
     async def restart(self, snap: ShardSnapshot | None = None) -> None:
         """Crash recovery: kill any live worker, respawn, optionally restore.
 
         Queued (unserviced) operations survive in the parent-side queue
-        and are replayed against the restored state; operations that
-        were in flight inside the dead worker are lost — the caller
-        decides what to resubmit.
+        and are applied to the restored state: the new pump restores
+        ``snap`` before it serves any of them. Operations that were in
+        flight inside the dead worker are lost — the caller decides
+        what to resubmit.
         """
         pump = self._worker
         self._worker = None
@@ -332,9 +321,13 @@ class ProcessShardHandle(QueuedShard):
             if proc.is_alive():
                 proc.terminate()
             proc.join(timeout=5.0)
-        self.start()
+        restored: asyncio.Future | None = None
         if snap is not None:
-            await self.restore(snap)
+            restored = asyncio.get_running_loop().create_future()
+            self._restore_first = _Control("restore", snapshot_to_bytes(snap), restored)
+        self.start()
+        if restored is not None:
+            await restored
 
     # ------------------------------------------------------------------
     # control plane (health / snapshot / restore)
@@ -380,6 +373,9 @@ class ProcessShardHandle(QueuedShard):
         kind, _hello = await self._channel().recv()
         if kind != "ready":
             raise RuntimeError(f"worker sent {kind!r} instead of ready frame")
+        first, self._restore_first = self._restore_first, None
+        if first is not None:
+            await self._converse(first)
         await super()._run()
 
     async def _converse(self, item: _Control) -> None:

@@ -47,7 +47,7 @@ class TestProtocol:
         options = {"path": str(tmp_path / "d.f64")} if name == "memmap" else {}
         net = _net(grid_network(4, 4), name, **options)
         assert isinstance(net.distance_backend, DistanceBackend)
-        assert net.distance_mode == name
+        assert net.distance_backend.name == name
         assert net.oracle_stats["mode"] == name
 
     def test_unknown_backend_rejected(self):

@@ -10,7 +10,7 @@ from repro.graphs.network import SensorNetwork
 
 def _grid_net(side, mode, **kw):
     base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_mode=mode, **kw)
+    return SensorNetwork(base.graph, normalize=False, distance_backend=mode, **kw)
 
 
 class TestBatchedQueries:
@@ -201,8 +201,8 @@ class TestDiameter:
     def test_iterated_sweep_exact_on_geometric(self):
         for seed in (1, 2, 3):
             base = random_geometric_network(60, seed=seed)
-            full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-            lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+            full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+            lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
             lo, hi = lazy.diameter_bounds
             assert lo <= full.diameter + 1e-9
             assert hi >= full.diameter - 1e-9
@@ -219,8 +219,8 @@ class TestDiameter:
 class TestLandmarks:
     def test_upper_bound_is_admissible(self):
         base = random_geometric_network(50, seed=4)
-        full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-        lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+        full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+        lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
         lazy.build_landmarks(8)
         rnd_pairs = [(0, 49), (5, 30), (12, 41), (7, 7), (20, 21)]
         for u, v in rnd_pairs:

@@ -8,19 +8,19 @@ from repro.graphs.network import SensorNetwork
 
 def _grid_net(side, mode):
     base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_mode=mode)
+    return SensorNetwork(base.graph, normalize=False, distance_backend=mode)
 
 
 class TestModes:
     def test_auto_picks_full_for_small(self):
-        assert _grid_net(4, "auto").distance_mode == "full"
+        assert _grid_net(4, "auto").distance_backend.name == "full"
 
     def test_auto_picks_lazy_past_threshold(self, monkeypatch):
         monkeypatch.setattr(SensorNetwork, "LAZY_THRESHOLD", 10)
-        assert _grid_net(4, "auto").distance_mode == "lazy"
+        assert _grid_net(4, "auto").distance_backend.name == "lazy"
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="distance_mode"):
+        with pytest.raises(ValueError, match="unknown distance backend"):
             _grid_net(3, "psychic")
 
 

@@ -1,8 +1,8 @@
 """ShardCore's columnar apply path vs its scalar twin.
 
 ``ShardCore(batch=True)`` swaps the per-op tracker calls for the
-struct-of-arrays :class:`~repro.core.batch.BatchMOTEngine` while the
-audit-facing state (epochs, op log, query log) stays core-owned. The
+struct-of-arrays :class:`~repro.core.batch.BatchMOTEngine`, and the
+shard's history (epochs, op log, query log) is the engine's own log. The
 contract: a batch-mode core fed the same request stream as a scalar
 core through :meth:`ShardCore.apply` produces the same results, logs
 and epochs — snapshots taken from either mode restore into either
@@ -85,7 +85,11 @@ class TestApplyParity:
         assert batch.epochs == scalar.epochs
         assert batch.oplog == scalar.oplog
         assert batch.query_log == scalar.query_log
-        # and the engine's own op log passes the columnar audit
+        # one history: the core's logs are the engine's
+        assert batch.epochs is batch.engine.epochs
+        assert batch.oplog is batch.engine.oplog
+        assert batch.query_log is batch.engine.query_log
+        # and it passes the columnar audit
         audit = audit_batch_core(batch.engine)
         assert audit.ok, audit.as_dict()
 
@@ -141,7 +145,11 @@ class TestSnapshotRoundTrip:
         restore_snapshot(dst, snap)
         assert dst.epochs == src.epochs
         assert dst.oplog == src.oplog
+        assert dst.query_log == src.query_log
         assert dst.ledger == src.ledger
+        if dst_batch:
+            assert dst.oplog is dst.engine.oplog
+            assert dst.query_log is dst.engine.query_log
 
         # the restored core answers the continuation like the original
         res_src = _drive(src, tail)

@@ -204,8 +204,6 @@ class TestCoalescing:
     def test_audit_catches_wrong_cost_on_coalesced_record(self):
         # the exemption removal has teeth: corrupt one coalesced
         # record's cost and the audit must flag it
-        import dataclasses
-
         async def scenario():
             cfg = ServiceConfig(shards=1, batch_size=8)
             clock = VirtualClock()
@@ -222,14 +220,69 @@ class TestCoalescing:
             await service.stop()
             shard = service.shard_of("tiger")
             assert shard.query_log[1].coalesced
-            shard.query_log[1] = dataclasses.replace(
-                shard.query_log[1], cost=shard.query_log[1].cost + 100.0
+            shard.query_log[1] = shard.query_log[1]._replace(
+                cost=shard.query_log[1].cost + 100.0
             )
             return audit_service(service)
 
         report = run(scenario())
         assert not report.ok
         assert report.cost_mismatches == 1
+
+    @staticmethod
+    def _coalesced_run():
+        """One shard: publish, move, then three queries — two coalesce."""
+
+        async def scenario():
+            cfg = ServiceConfig(shards=1, batch_size=8)
+            clock = VirtualClock()
+            service = TrackingService(NET, cfg, seed=4, clock=clock)
+            await service.start()
+            fut = service.submit_nowait(PublishRequest("tiger", NET.node_at(0)))
+            clock.advance(1.0)
+            await asyncio.sleep(0)
+            await fut
+            futs = [service.submit_nowait(MoveRequest("tiger", NET.node_at(8)))]
+            futs += [
+                service.submit_nowait(QueryRequest("tiger", NET.node_at(35)))
+                for _ in range(3)
+            ]
+            clock.advance(2.0)
+            await asyncio.gather(*futs)
+            await service.stop()
+            shard = service.shard_of("tiger")
+            assert [rec.coalesced for rec in shard.query_log] == [False, True, True]
+            assert audit_service(service).ok
+            return service, shard
+
+        return run(scenario())
+
+    def test_audit_catches_tampered_ledger(self):
+        service, shard = self._coalesced_run()
+        shard.ledger.query_ops += 1
+        report = audit_service(service)
+        assert not report.ok
+        assert len(report.ledger_mismatches) == 1
+        assert report.ledger_mismatches[0].startswith("query_ops: 2 != 1")
+
+    def test_audit_catches_tampered_epoch(self):
+        service, shard = self._coalesced_run()
+        shard.epochs["tiger"] -= 1
+        report = audit_service(service)
+        assert not report.ok
+        assert report.epoch_mismatches == 1
+        assert report.examples[0] == {
+            "kind": "epoch", "obj": "tiger", "got": 0, "expected": 1,
+        }
+
+    def test_audit_catches_coalesced_record_moved_to_another_source(self):
+        service, shard = self._coalesced_run()
+        shard.query_log[2] = shard.query_log[2]._replace(source=NET.node_at(30))
+        report = audit_service(service)
+        assert not report.ok
+        assert report.cost_mismatches == 1
+        assert report.examples[0]["kind"] == "cost"
+        assert report.examples[0]["expected"] == repr("<no executed twin>")
 
     def test_move_bumps_epoch_and_stops_coalescing(self):
         async def scenario():

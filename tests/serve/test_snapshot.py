@@ -104,6 +104,14 @@ class TestCaptureRestore:
         with pytest.raises(ValueError, match="empty shard core"):
             restore_snapshot(core, snap)
 
+    def test_restore_refuses_epochs_its_op_log_does_not_replay_to(self):
+        core = make_core()
+        drive(core, objects=2)
+        snap = capture_snapshot(core, 0)
+        epochs = {**snap.epochs, "obj-0": snap.epochs["obj-0"] + 1}
+        with pytest.raises(ValueError, match="epochs differ"):
+            restore_snapshot(make_core(), dataclasses.replace(snap, epochs=epochs))
+
     def test_restore_refuses_other_versions(self):
         core = make_core()
         drive(core, objects=1)
@@ -126,7 +134,8 @@ class TestBytesRoundTrip:
     def test_from_bytes_rejects_other_versions(self):
         core = make_core()
         drive(core, objects=1)
-        snap = dataclasses.replace(capture_snapshot(core, 0), version=2)
+        # version 1 pickled the query records as dataclass instances
+        snap = dataclasses.replace(capture_snapshot(core, 0), version=1)
         with pytest.raises(ValueError, match="version"):
             snapshot_from_bytes(pickle.dumps(snap))
 

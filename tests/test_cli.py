@@ -41,9 +41,9 @@ def test_perf_report_to_stdout(capsys):
     import json
 
     assert main(["perf", "--side", "6", "--objects", "3", "--moves", "10",
-                 "--queries", "5", "--distance-mode", "lazy"]) == 0
+                 "--queries", "5", "--distance-backend", "lazy"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["run"]["distance_mode"] == "lazy"
+    assert report["run"]["distance_backend"] == "lazy"
     # oracle hit/miss pressure and per-operation timers must be present
     assert report["oracle"]["row_cache_hits"] > 0
     assert report["oracle"]["row_cache_misses"] > 0
